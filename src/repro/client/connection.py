@@ -51,6 +51,7 @@ class Connection:
         self._lock = threading.Lock()
         self._sock = socket.create_connection((host, self.port),
                                               timeout=timeout)
+        protocol.set_nodelay(self._sock)
         self._send({"op": "hello",
                     "protocol": protocol.PROTOCOL_VERSION,
                     "batch_size": batch_size,
@@ -137,6 +138,7 @@ class Connection:
         control = socket.create_connection((self.host, self.port),
                                            timeout=10.0)
         try:
+            protocol.set_nodelay(control)
             protocol.send_frame(control, {
                 "op": "cancel",
                 "session": self.session_id,

@@ -28,6 +28,7 @@ reconstructed client-side into the matching :mod:`repro.errors` class, so
 from __future__ import annotations
 
 import json
+import socket
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -51,6 +52,18 @@ _HEADER = struct.Struct(">I")
 # Frame I/O
 # ---------------------------------------------------------------------------
 
+def set_nodelay(sock) -> None:
+    """Turn off Nagle's algorithm on a DMX TCP socket.
+
+    A stream writes its columns, batch and end frames back to back; with
+    Nagle on, every small write after the first waits for the peer's
+    delayed ACK (40 ms or more on Linux).  Called once at connection
+    set-up on each end, never per frame: the option only exists on TCP
+    sockets, and the frame functions also run over Unix socket pairs.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _recv_exact(sock, count: int) -> Optional[bytes]:
     """Read exactly ``count`` bytes; None on clean EOF before any byte.
 
@@ -71,16 +84,22 @@ def _recv_exact(sock, count: int) -> Optional[bytes]:
     return b"".join(chunks)
 
 
-def send_frame(sock, message: Dict[str, Any]) -> int:
-    """Serialize and send one frame; returns the bytes written."""
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    """Serialize one frame: length prefix plus compact JSON."""
     payload = json.dumps(message, separators=(",", ":"),
                          default=str).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit")
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
-    return _HEADER.size + len(payload)
+    return _HEADER.pack(len(payload)) + payload
+
+
+def send_frame(sock, message: Dict[str, Any]) -> int:
+    """Serialize and send one frame; returns the bytes written."""
+    frame = encode_frame(message)
+    sock.sendall(frame)
+    return len(frame)
 
 
 def recv_frame(sock,
@@ -159,12 +178,27 @@ def decode_cell(value: Any) -> Any:
     return decode_value(value)
 
 
+#: Cells of exactly these types are JSON scalars as they stand, so the
+#: rowset codec passes them through without a per-cell call, and a row of
+#: nothing else is copied whole.  Subclasses (and everything else) still
+#: go through :func:`encode_cell`.
+_PLAIN_CELL_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def encode_rows(rows) -> List[List[Any]]:
-    return [[encode_cell(value) for value in row] for row in rows]
+    plain = _PLAIN_CELL_TYPES
+    return [list(row) if plain.issuperset(map(type, row))
+            else [value if type(value) in plain else encode_cell(value)
+                  for value in row]
+            for row in rows]
 
 
 def decode_rows(rows) -> List[tuple]:
-    return [tuple(decode_cell(value) for value in row) for row in rows]
+    # Only a JSON object can carry a tag ($date, $datetime, $rowset).
+    return [tuple(row) if dict not in map(type, row)
+            else tuple([decode_cell(value) if type(value) is dict else value
+                        for value in row])
+            for row in rows]
 
 
 def rowset_to_wire(rowset: Rowset) -> Dict[str, Any]:

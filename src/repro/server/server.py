@@ -292,6 +292,7 @@ class DmxServer:
         remote = f"{addr[0]}:{addr[1]}"
         session = None
         try:
+            protocol.set_nodelay(sock)
             sock.settimeout(HANDSHAKE_TIMEOUT)
             try:
                 hello, nbytes = protocol.recv_frame(sock)
@@ -373,9 +374,12 @@ class DmxServer:
     # -- the session loop -----------------------------------------------------
 
     def _send(self, session: Session, message: dict) -> None:
-        nbytes = protocol.send_frame(session.sock, message)
-        session.bytes_out += nbytes
-        self.metrics.counter("server.bytes_out").inc(nbytes)
+        frame = protocol.encode_frame(message)
+        # Count before sending: once the peer has the frame it may read
+        # server.bytes_out or DM_SESSIONS, and must find the frame there.
+        session.bytes_out += len(frame)
+        self.metrics.counter("server.bytes_out").inc(len(frame))
+        session.sock.sendall(frame)
 
     def _session_loop(self, session: Session) -> None:
         """Bind the session's thread-locals and serve frames until EOF.

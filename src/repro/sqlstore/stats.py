@@ -55,17 +55,19 @@ class ColumnStats:
     """Exact value statistics for one column, maintained incrementally.
 
     The backbone is a counter ``group_key -> [representative value, count]``
-    (the same NULL-safe keying GROUP BY uses), plus a null counter.  NDV,
-    min/max, and the equi-depth histogram are derived views over the
-    counter, cached until the next mutation.
+    (the same NULL-safe keying GROUP BY uses), plus null and non-null
+    counters (the latter is the counter's total, kept so range estimates
+    need not sum it).  NDV, min/max, and the equi-depth histogram are
+    derived views over the counter, cached until the next mutation.
     """
 
-    __slots__ = ("name", "null_count", "counter", "version",
+    __slots__ = ("name", "null_count", "non_null_count", "counter", "version",
                  "_derived_version", "_min", "_max", "_histogram")
 
     def __init__(self, name: str):
         self.name = name
         self.null_count = 0
+        self.non_null_count = 0
         self.counter: Dict[Any, List[Any]] = {}
         self.version = 0
         self._derived_version = -1
@@ -80,9 +82,11 @@ class ColumnStats:
         if value is None:
             self.null_count += 1
             return
-        entry = self.counter.get(V.group_key(value))
+        self.non_null_count += 1
+        key = V.group_key(value)
+        entry = self.counter.get(key)
         if entry is None:
-            self.counter[V.group_key(value)] = [value, 1]
+            self.counter[key] = [value, 1]
         else:
             entry[1] += 1
 
@@ -95,6 +99,7 @@ class ColumnStats:
         entry = self.counter.get(key)
         if entry is None:
             return
+        self.non_null_count -= 1
         entry[1] -= 1
         if entry[1] <= 0:
             del self.counter[key]
@@ -102,22 +107,21 @@ class ColumnStats:
     def rebuild(self, column_values) -> None:
         self.version += 1
         self.null_count = 0
+        self.non_null_count = 0
         self.counter = {}
         for value in column_values:
             if value is None:
                 self.null_count += 1
                 continue
-            entry = self.counter.get(V.group_key(value))
+            self.non_null_count += 1
+            key = V.group_key(value)
+            entry = self.counter.get(key)
             if entry is None:
-                self.counter[V.group_key(value)] = [value, 1]
+                self.counter[key] = [value, 1]
             else:
                 entry[1] += 1
 
     # -- derived statistics ----------------------------------------------------
-
-    @property
-    def non_null_count(self) -> int:
-        return sum(entry[1] for entry in self.counter.values())
 
     @property
     def ndv(self) -> int:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.sqlstore.schema import ColumnSchema, TableSchema
 from repro.sqlstore.stats import (
+    ColumnStats,
     TableStatistics,
     estimate_group_rows,
     estimate_join_rows,
@@ -73,6 +74,40 @@ def test_incremental_stats_match_wholesale_rebuild(operations):
     rebuilt = TableStatistics(table.schema)
     rebuilt.rebuild(table.rows)
     assert table.stats.snapshot() == rebuilt.snapshot()
+
+
+@given(operation_strategy)
+@settings(max_examples=80, deadline=None)
+def test_non_null_count_tracks_the_counter_at_every_step(operations):
+    """The maintained non-null total (read by every range estimate) must
+    equal the counter's sum after each mutation and after a rebuild."""
+    table = Table(_schema(), with_stats=True)
+
+    def check(statistics):
+        for column in statistics.columns:
+            assert column.non_null_count == sum(
+                entry[1] for entry in column.counter.values())
+
+    check(table.stats)
+    for operation in operations:
+        _apply(table, [operation])
+        check(table.stats)
+    rebuilt = TableStatistics(table.schema)
+    rebuilt.rebuild(table.rows)
+    check(rebuilt)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete"]),
+                          st.one_of(st.none(),
+                                    st.integers(min_value=0, max_value=4))),
+                max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_non_null_count_ignores_nulls_and_absent_deletes(steps):
+    stats = ColumnStats("c")
+    for action, value in steps:
+        getattr(stats, f"note_{action}")(value)
+        assert stats.non_null_count == sum(
+            entry[1] for entry in stats.counter.values())
 
 
 @given(operation_strategy, operation_strategy)

@@ -4,7 +4,8 @@ The frame layer and the rowset/result/error codecs are pure functions over
 sockets and JSON — everything here runs against ``socketpair`` ends or
 plain values, no server involved.  Also pins the ephemeral-port contract:
 every listener in the codebase (DMX server, telemetry endpoint) must
-accept ``port=0`` and report the real bound port back.
+accept ``port=0`` and report the real bound port back, and the server's
+byte accounting: a reply is counted before the client can see it.
 """
 
 import datetime
@@ -14,6 +15,7 @@ import struct
 import pytest
 
 import repro
+from repro.client import connect as net_connect
 from repro.errors import (
     BindError,
     Error,
@@ -238,4 +240,29 @@ def test_two_ephemeral_servers_coexist():
         second.close()
         first.close()
         other.close()
+        conn.close()
+
+
+# -- byte accounting ----------------------------------------------------------
+
+def test_bytes_out_counts_a_reply_before_the_client_sees_it():
+    """A client that reads ``server.bytes_out`` (or ``DM_SESSIONS``) right
+    after a reply must find that reply counted: the server counts a frame
+    before it sends it, not after."""
+    conn = repro.connect()
+    server = DmxServer(conn.provider, port=0)
+    pong = len(protocol.encode_frame({"ok": True, "pong": True}))
+    try:
+        with net_connect("127.0.0.1", server.port) as client:
+            client.ping()
+            session = server.sessions()[0]
+            start = session.bytes_out
+            counted = server.metrics.value("server.bytes_out")
+            for sent in range(1, 201):
+                client.ping()
+                assert session.bytes_out - start == sent * pong
+                assert server.metrics.value("server.bytes_out") - counted \
+                    == sent * pong
+    finally:
+        server.close()
         conn.close()
