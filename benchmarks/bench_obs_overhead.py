@@ -23,7 +23,8 @@ checkpoints, per-statement resource accounting) rides the same hot path:
 a registry entry per statement and a checkpoint per scan batch.  Its
 gate compares a row-heavy streaming scan with the registry on (shipping
 default) against ``provider.workload.enabled = False`` and bounds the
-added cost at 10%.
+added cost at 10%, once through ``execute`` and once as a fully consumed
+``execute_stream``, whose statement is made live again on every pull.
 
 The workload repository (DM_STATEMENT_STATS fingerprinting + plan
 capture) also rides the dispatch path.  Its steady state is two memo
@@ -48,6 +49,9 @@ REPEATS = 3 if QUICK else 5
 BATCH = 15 if QUICK else 40
 
 WORKLOAD = "SELECT Gender, AVG(Age) FROM Customers GROUP BY Gender"
+#: Rows per batch for the streamed registry gate: 2000 customers make 32
+#: pulls per statement, each one re-activating the statement's record.
+STREAM_BATCH = 64
 
 
 def _fresh_connection(customers=200):
@@ -145,6 +149,48 @@ def test_workload_accounting_overhead_is_bounded():
     assert ratio < 1.10, (
         f"workload accounting adds {(ratio - 1) * 100:.0f}% to a streaming "
         f"scan; the checkpoint/accounting hot path has grown a real cost")
+
+
+def _min_stream_time(connection, statement, repeats=REPEATS, batch=BATCH):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(batch):
+            for _ in connection.execute_stream(
+                    statement, batch_size=STREAM_BATCH).batches():
+                pass
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_streamed_workload_accounting_overhead_is_bounded():
+    """The registry gate on a fully consumed ``execute_stream`` scan.
+
+    A streamed statement stays live until its last batch: every pull makes
+    its record the thread's active statement again, so the per-batch cost
+    of that re-activation is timed here, registry on vs off, interleaved.
+    """
+    scan = "SELECT * FROM Customers"
+    accounted = _fresh_connection(customers=2000)
+    unaccounted = _fresh_connection(customers=2000)
+    unaccounted.provider.workload.enabled = False
+
+    for connection in (accounted, unaccounted):
+        _min_stream_time(connection, scan, repeats=1, batch=10)
+
+    baseline = accounted_time = float("inf")
+    for _ in range(2 * REPEATS):
+        baseline = min(baseline, _min_stream_time(unaccounted, scan,
+                                                  repeats=1))
+        accounted_time = min(accounted_time,
+                             _min_stream_time(accounted, scan, repeats=1))
+    ratio = accounted_time / baseline
+    print(f"\nstreamed workload accounting overhead: registry-off "
+          f"{baseline:.4f}s, default {accounted_time:.4f}s, "
+          f"ratio {ratio:.2f}x")
+    assert ratio < 1.10, (
+        f"workload accounting adds {(ratio - 1) * 100:.0f}% to a streamed "
+        f"scan; per-batch re-activation has grown a real cost")
 
 
 def test_repository_overhead_is_bounded():

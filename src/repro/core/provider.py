@@ -297,36 +297,42 @@ class Provider:
         """Parse and execute one command; Rowset for queries, int for DML.
 
         Every statement (except the TRACE verb itself, which controls the
-        tracer) runs inside a :meth:`Tracer.statement` context so the
+        tracer) is dispatched through :meth:`_dispatch`, so the
         ``$SYSTEM.DM_QUERY_LOG`` ring and provider metrics stay populated.
         """
         stripped = command.lstrip()
         first = stripped.split(None, 1)[0].upper() if stripped else ""
         if first == "TRACE":
             return self.execute_ast(parse_statement(command))
-        previous = obs_trace.activate(self.tracer)
-        try:
-            with self.tracer.statement(command) as record:
-                record.session = obs_workload.session_id()
-                active = self.workload.register(record.statement_id, command)
-                prior = obs_workload.activate(active)
-                try:
-                    obs_workload.set_phase("parse")
-                    try:
-                        statement = parse_statement(command)
-                    except ParseError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    record.kind = _statement_kind(statement, self)
-                    if active is not None:
-                        active.kind = record.kind
-                    self.repository.annotate(record, self, statement,
-                                             command)
-                    return self._execute_statement(statement, command)
-                finally:
-                    obs_workload.deactivate(prior)
-        finally:
-            obs_trace.deactivate(previous)
+        return self._dispatch(command)
+
+    def _dispatch(self, command: str, stream: bool = False,
+                  batch_size: Optional[int] = None) -> Any:
+        """Begin, parse, classify, annotate and run one statement.
+
+        The statement's record is created here and retired once its work
+        ends: a plain statement when it returns or raises, a streamed one
+        when its batches do (see :meth:`_pull`).
+        """
+        record = self.tracer.begin(command)
+        self.workload.register(record)
+        with self.tracer.live(record):
+            try:
+                obs_workload.set_phase("parse")
+                statement = parse_statement(command)
+                record.kind = _statement_kind(statement, self)
+                self.repository.annotate(record, self, statement, command)
+                if not stream:
+                    result = self._execute_statement(statement, command)
+                else:
+                    result = self._pull(record, self._execute_select_stream(
+                        statement, batch_size))
+            except (ParseError, BindError) as exc:
+                _attach_statement(exc, command)
+                raise
+        if not stream:
+            self.tracer.retire(record)
+        return result
 
     def _execute_statement(self, statement: ast.Statement,
                            command: str) -> Any:
@@ -537,17 +543,14 @@ class Provider:
             metrics.counter("statements.cancelled").inc()
         for name, amount in record.totals().items():
             metrics.counter(f"activity.{name}").inc(amount)
-        resources = record.resources
-        if resources is not None:
-            metrics.counter("resource.cpu_ms").inc(resources["cpu_ms"])
-            metrics.counter("resource.pool_cpu_ms").inc(
-                resources["pool_cpu_ms"])
-            metrics.counter("resource.lock_wait_ms").inc(
-                resources["lock_wait_ms"])
+        if record.registry is not None:
+            cpu_ms = record.total_cpu_ms()
+            metrics.counter("resource.cpu_ms").inc(cpu_ms)
+            metrics.counter("resource.pool_cpu_ms").inc(record.pool_cpu_ms)
+            metrics.counter("resource.lock_wait_ms").inc(record.lock_wait_ms)
             metrics.counter("resource.rows_processed").inc(
-                resources["rows_processed"])
-            metrics.histogram("resource.statement_cpu_ms").observe(
-                resources["cpu_ms"])
+                record.rows_processed)
+            metrics.histogram("resource.statement_cpu_ms").observe(cpu_ms)
         if self.slow_sink is not None:
             self.slow_sink.maybe_write(record)
 
@@ -652,8 +655,13 @@ class Provider:
             result = flatten_rowset(result)
         return result
 
-    def _execute_select_stream(self, statement: ast.SelectStatement,
+    def _execute_select_stream(self, statement: ast.Statement,
                                batch_size: Optional[int] = None) -> RowStream:
+        if isinstance(statement, ast.UnionStatement):
+            return self.database.execute_union_stream(statement, batch_size)
+        if not isinstance(statement, ast.SelectStatement):
+            raise Error("execute_stream supports SELECT statements only; "
+                        "use execute() for DDL/DML")
         if isinstance(statement.from_clause, ast.PredictionJoin):
             obs_workload.set_phase("predict")
             return execute_prediction_stream(self, statement, batch_size)
@@ -669,43 +677,40 @@ class Provider:
 
         The returned :class:`RowStream` is single-use; blocking clauses
         (GROUP BY, ORDER BY, DISTINCT) still materialize internally, but
-        pipelined shapes are produced batch by batch.
+        pipelined shapes are produced batch by batch.  The statement stays
+        live -- in ``DM_ACTIVE_STATEMENTS``, cancellable -- until the stream
+        is exhausted, raises, or is dropped.
         """
-        previous = obs_trace.activate(self.tracer)
-        try:
-            with self.tracer.statement(command) as record:
-                record.session = obs_workload.session_id()
-                active = self.workload.register(record.statement_id, command)
-                prior = obs_workload.activate(active)
-                try:
-                    obs_workload.set_phase("parse")
-                    try:
-                        statement = parse_statement(command)
-                    except ParseError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    record.kind = _statement_kind(statement, self)
-                    if active is not None:
-                        active.kind = record.kind
-                    self.repository.annotate(record, self, statement,
-                                             command)
-                    try:
-                        if isinstance(statement, ast.UnionStatement):
-                            return self.database.execute_union_stream(
-                                statement, batch_size)
-                        if isinstance(statement, ast.SelectStatement):
-                            return self._execute_select_stream(statement,
-                                                               batch_size)
-                    except BindError as exc:
-                        _attach_statement(exc, command)
-                        raise
-                    raise Error(
-                        "execute_stream supports SELECT statements only; "
-                        "use execute() for DDL/DML")
-                finally:
-                    obs_workload.deactivate(prior)
-        finally:
-            obs_trace.deactivate(previous)
+        return self._dispatch(command, stream=True, batch_size=batch_size)
+
+    def _pull(self, record, stream: RowStream) -> RowStream:
+        """Keep a streamed statement live until its stream ends.
+
+        Each pull runs with the record live on the pulling thread, so the
+        batch's counters, checkpoints and a pending CANCEL reach it; between
+        pulls the consumer is free to run other statements.  Exhaustion or
+        an error retires the record at once; a stream closed or dropped
+        unfinished, read or not, is abandoned to the tracer, which retires
+        it at its next dispatch.
+        """
+        def pulls():
+            batches = stream.batches()
+            try:
+                yield  # primed below, so an unread stream is abandoned too
+                while True:
+                    with self.tracer.live(record):
+                        batch = next(batches, None)
+                    if batch is None:
+                        self.tracer.retire(record)
+                        return
+                    yield batch
+            except GeneratorExit:
+                self.tracer.abandon(record)
+                raise
+
+        pulled = pulls()
+        next(pulled)
+        return RowStream(stream.columns, pulled)
 
     def _resolve_external(self, ref: ast.TableRef) -> Optional[SourceRelation]:
         """The engine's hook: models, SHAPE, $SYSTEM, <model>.CONTENT."""

@@ -418,7 +418,8 @@ def dm_active_statements_rowset(provider) -> Rowset:
 def dm_statement_resources_rowset(provider) -> Rowset:
     """``$SYSTEM.DM_STATEMENT_RESOURCES``: per-statement resource accounting.
 
-    Live statements first (CPU still accumulating), then the finished ring.
+    Live statements first (CPU still accumulating), then the retired ones
+    from the query-log ring, so the two views always agree.
     CPU_MS is statement-thread CPU plus worker CPU shipped back from the
     pool; LOCK_WAIT_MS is time blocked in RWLock acquires.
     """
@@ -440,7 +441,7 @@ def dm_statement_resources_rowset(provider) -> Rowset:
         RowsetColumn("CACHE_MISSES", LONG),
     ]
     rows = []
-    for statement in provider.workload.resource_records():
+    for statement in provider.workload.resource_records(provider.tracer):
         rows.append((
             statement.statement_id,
             " ".join(statement.text.split()),

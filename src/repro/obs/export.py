@@ -41,7 +41,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.sink import statement_record_dict
+from repro.obs.sink import resource_dict, statement_record_dict
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -238,8 +238,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, body, "application/json")
             return
         if parsed.path == "/active":
-            body = json.dumps([statement.active_dict()
-                               for statement in provider.workload.active()],
+            from repro.core.schema_rowsets import system_rowset
+            active = system_rowset(provider, "DM_ACTIVE_STATEMENTS")
+            names = [name.lower() for name in active.column_names()]
+            body = json.dumps([dict(zip(names, row)) for row in active.rows],
                               default=str)
             self._reply(200, body, "application/json")
             return
@@ -340,8 +342,8 @@ def chrome_trace_events(provider) -> list:
                 args["statement"] = label
                 args["kind"] = record.kind
                 args["status"] = record.status
-                if record.resources is not None:
-                    args["resources"] = record.resources
+                if record.registry is not None:
+                    args["resources"] = resource_dict(record)
             if span.counters:
                 args["counters"] = dict(span.counters)
             if span.attributes:

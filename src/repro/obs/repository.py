@@ -545,13 +545,11 @@ class WorkloadRepository:
             rows_out = totals.get("rows_out")
             entry.rows_returned += int(rows_out or 0)
             entry.buffer_reads += int(totals.get("buffer_reads", 0) or 0)
-            resources = getattr(record, "resources", None)
-            if resources is not None:
-                entry.cpu_ms += float(resources.get("cpu_ms", 0.0) or 0.0)
-                entry.cache_hits += int(resources.get("cache_hits", 0) or 0)
-                entry.cache_misses += int(
-                    resources.get("cache_misses", 0) or 0)
-                entry.pool_tasks += int(resources.get("pool_tasks", 0) or 0)
+            if record.registry is not None:
+                entry.cpu_ms += record.total_cpu_ms()
+                entry.cache_hits += record.cache_hits
+                entry.cache_misses += record.cache_misses
+                entry.pool_tasks += record.pool_tasks
             self._observe_plan(entry, record, duration, rows_out)
             self._dirty = True
 

@@ -36,6 +36,28 @@ def _span_dict(span) -> Dict[str, Any]:
     }
 
 
+def resource_dict(record) -> Dict[str, Any]:
+    """A statement's workload accounting as the JSON ``resources`` object
+    (sink records, ``/queries`` and Chrome-trace statement events)."""
+    return {
+        "statement_id": record.statement_id,
+        "phase": record.phase,
+        "status": record.status,
+        "cpu_ms": round(record.total_cpu_ms(), 3),
+        "pool_cpu_ms": round(record.pool_cpu_ms, 3),
+        "lock_wait_ms": round(record.lock_wait_ms, 3),
+        "lock_waits": record.lock_waits,
+        "rows_processed": record.rows_processed,
+        "peak_batch_rows": record.peak_batch_rows,
+        "batches": record.batches,
+        "partitions_done": record.partitions_done,
+        "partitions_total": record.partitions_total,
+        "pool_tasks": record.pool_tasks,
+        "cache_hits": record.cache_hits,
+        "cache_misses": record.cache_misses,
+    }
+
+
 def statement_record_dict(record) -> Dict[str, Any]:
     """One statement record as a JSON-ready dict (sink and ``/queries``).
 
@@ -68,9 +90,8 @@ def statement_record_dict(record) -> Dict[str, Any]:
     plan_hash = getattr(record, "plan_hash", None)
     if plan_hash is not None:
         out["plan_hash"] = plan_hash
-    resources = getattr(record, "resources", None)
-    if resources is not None:
-        out["resources"] = resources
+    if record.registry is not None:
+        out["resources"] = resource_dict(record)
     if record.root is not None and record.root.children:
         out["spans"] = [_span_dict(child)
                         for child in record.root.children]

@@ -21,9 +21,15 @@ Cost model (the contract the overhead benchmark asserts):
 
 Instrumented modules never hold a tracer; they call the module-level
 :func:`span` and :func:`add`, which resolve the active tracer from a
-thread-local slot that :meth:`Provider.execute` populates around each
-statement.  With no active tracer both are near-free no-ops, so the
-engine, shaping, and algorithm layers stay usable standalone.
+thread-local slot that :meth:`Tracer.live` populates while a statement
+runs.  With no active tracer both are near-free no-ops, so the engine,
+shaping, and algorithm layers stay usable standalone.
+
+A statement's :class:`StatementRecord` is its only record: the tracer
+opens it at dispatch (:meth:`Tracer.begin`), makes it live on a thread
+for as long as its work runs there (:meth:`Tracer.live` -- once for a
+plain statement, once per batch pull for a stream) and retires it into
+the ring once that work has ended (:meth:`Tracer.retire`).
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.errors import CancelledError
+from repro.obs import workload as obs_workload
+from repro.obs.workload import CancelToken, session_id
 
 _local = threading.local()
 
@@ -116,41 +126,88 @@ NULL_SPAN = _NullSpan()
 
 
 class StatementRecord:
-    """One executed statement: text, outcome, latency, and its span tree."""
+    """One statement from dispatch to retirement: text, outcome, latency,
+    span tree, and the live workload accounting behind
+    ``DM_ACTIVE_STATEMENTS`` / ``DM_STATEMENT_RESOURCES``.
+
+    Progress counters are written by the thread the statement is live on;
+    readers on other threads see monotonically advancing plain attributes.
+    """
 
     __slots__ = ("statement_id", "text", "kind", "status", "error",
                  "started_at", "duration_ms", "root", "thread", "session",
-                 "resources", "fingerprint", "plan_hash", "plan_est_rows")
+                 "fingerprint", "plan_hash", "plan_est_rows",
+                 "registry", "phase", "token",
+                 "rows_processed", "batches", "peak_batch_rows",
+                 "partitions_done", "partitions_total",
+                 "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
+                 "cpu_ms", "cpu_started", "lock_wait_ms", "lock_waits",
+                 "cache_hits", "cache_misses")
 
     def __init__(self, statement_id: int, text: str, kind: str = "UNKNOWN"):
         self.statement_id = statement_id
         self.text = text
         self.kind = kind
         self.thread = threading.current_thread().name
-        # Network session id, stamped by the dispatcher when the statement
-        # arrived over the wire; None for embedded statements.
-        self.session: Optional[int] = None
-        self.status: Optional[str] = None
+        self.session = session_id()  # None for embedded statements
+        self.status = "running"
         self.error: Optional[str] = None
         self.started_at = time.time()
         self.duration_ms: Optional[float] = None
-        self.root: Optional[Span] = None
-        # Resource summary dict stamped by the workload registry at finish
-        # (CPU-ms, lock-wait-ms, rows, partitions, ...); None when the
-        # workload layer is disabled.
-        self.resources: Optional[Dict[str, Any]] = None
+        self.root = Span("statement")
         # Workload-repository attribution, stamped by the dispatcher after
         # parse: statement fingerprint, captured plan-skeleton hash, and
         # the plan root's estimated cardinality (for q-error at retire).
         self.fingerprint: Optional[str] = None
         self.plan_hash: Optional[str] = None
         self.plan_est_rows: Optional[float] = None
+        # The WorkloadRegistry that admitted the statement (None: layer off).
+        self.registry = None
+        self.phase = "queued"
+        self.token = CancelToken(statement_id)
+        self.rows_processed = 0
+        self.batches = 0
+        self.peak_batch_rows = 0
+        self.partitions_done = 0
+        self.partitions_total = 0
+        self.pool_tasks = 0
+        self.pool_tasks_in_flight = 0
+        self.pool_cpu_ms = 0.0
+        # Thread CPU summed over live blocks; cpu_started while in one.
+        self.cpu_ms = 0.0
+        self.cpu_started: Optional[float] = None
+        self.lock_wait_ms = 0.0
+        self.lock_waits = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
 
     def totals(self) -> Dict[str, float]:
         return self.root.totals() if self.root is not None else {}
 
     def spans(self) -> List[Tuple[Span, int]]:
         return list(self.root.walk()) if self.root is not None else []
+
+    def advance(self, rows: int = 0) -> None:
+        """One batch boundary: record progress, then honor cancellation."""
+        if rows:
+            self.rows_processed += rows
+            if rows > self.peak_batch_rows:
+                self.peak_batch_rows = rows
+        self.batches += 1
+        self.token.check()
+
+    def elapsed_ms(self) -> float:
+        if self.duration_ms is not None:
+            return self.duration_ms
+        return (time.perf_counter() - self.root.started) * 1000.0
+
+    def total_cpu_ms(self) -> float:
+        """Statement-thread CPU plus worker CPU shipped back from the pool."""
+        cpu_ms = self.cpu_ms + self.pool_cpu_ms
+        if self.cpu_started is not None and \
+                threading.current_thread().name == self.thread:
+            cpu_ms += (time.thread_time() - self.cpu_started) * 1000.0
+        return cpu_ms
 
     def __repr__(self) -> str:
         return (f"StatementRecord(#{self.statement_id}, {self.kind}, "
@@ -168,7 +225,7 @@ class _NullRecord:
     duration_ms = None
     status = None
     error = None
-    resources = None
+    registry = None
     fingerprint = None
     plan_hash = None
     plan_est_rows = None
@@ -202,6 +259,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._seq = 0
         self._stacks = threading.local()
+        self._abandoned: deque = deque()
         # on_statement(record) is invoked after each completed statement;
         # the provider uses it to fold trace totals into its metrics.
         self.on_statement = None
@@ -230,41 +288,83 @@ class Tracer:
             self._stacks.value = stack
         return stack
 
-    @contextmanager
-    def statement(self, text: str, kind: str = "UNKNOWN"):
-        """Trace one statement; yields its mutable :class:`StatementRecord`."""
+    def begin(self, text: str, kind: str = "UNKNOWN"):
+        """Open a statement's record (:data:`NULL_RECORD` when not
+        recording), first retiring streams abandoned since the last call."""
+        while self._abandoned:
+            try:
+                abandoned = self._abandoned.popleft()
+            except IndexError:  # another thread retired it
+                break
+            self.retire(abandoned)
         if not self.recording:
-            yield NULL_RECORD
-            return
+            return NULL_RECORD
         with self._lock:
             self._seq += 1
-            record = StatementRecord(self._seq, text, kind)
-        root = Span("statement", tracer=self)
-        record.root = root
+            return StatementRecord(self._seq, text, kind)
+
+    @contextmanager
+    def live(self, record):
+        """Make ``record`` this thread's live statement for the block, so
+        counters, checkpoints and CANCEL reach it; a raise retires it."""
+        root = record.root
         stack = self._stack()
-        stack.append(root)
+        if root is not None:
+            stack.append(root)
+        previous = activate(self)
+        prior = obs_workload.activate(
+            record if record.registry is not None else None)
+        error = None
         try:
             yield record
-            if record.status is None:
-                record.status = "ok"
-        except Exception as exc:
-            from repro.errors import CancelledError
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            obs_workload.deactivate(prior)
+            deactivate(previous)
+            # Unwind any spans an exception left open, then the root.
+            while root is not None and stack:
+                if stack.pop() is root:
+                    break
+            if error is not None:
+                self.retire(record, error)
+
+    def retire(self, record, exc: Optional[BaseException] = None) -> None:
+        """Close a statement whose work has ended into the ring."""
+        root = record.root
+        if root is None:
+            return
+        if exc is None:
+            record.status = "ok"
+        else:
             record.status = ("cancelled" if isinstance(exc, CancelledError)
                              else "error")
             record.error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            root.duration_ms = (time.perf_counter() - root.started) * 1000.0
-            record.duration_ms = root.duration_ms
-            # Unwind any spans left open by an exception, then the root.
-            while stack and stack[-1] is not root:
-                stack.pop()
-            if stack:
-                stack.pop()
-            with self._lock:
-                self._ring.append(record)
-            if self.on_statement is not None:
-                self.on_statement(record)
+        if record.duration_ms is None:
+            record.duration_ms = (time.perf_counter() - root.started) * 1000.0
+        root.duration_ms = record.duration_ms
+        with self._lock:
+            self._ring.append(record)
+        if self.on_statement is not None:
+            self.on_statement(record)
+
+    def abandon(self, record) -> None:
+        """Queue a stream's record dropped unfinished for the next
+        :meth:`begin`.  A drop can be a garbage collection inside one of
+        the locks :meth:`retire` takes, so this takes none."""
+        if record.root is not None:
+            record.duration_ms = (time.perf_counter()
+                                  - record.root.started) * 1000.0
+            self._abandoned.append(record)
+
+    @contextmanager
+    def statement(self, text: str, kind: str = "UNKNOWN"):
+        """Trace one statement on this thread; yields its record."""
+        record = self.begin(text, kind)
+        with self.live(record):
+            yield record
+        self.retire(record)
 
     # -- span stack -----------------------------------------------------------
 

@@ -5,10 +5,12 @@ running *right now*, how far along is it, what is it costing, and how do I
 stop it".  Three cooperating pieces:
 
 * :class:`WorkloadRegistry` — one per provider.  Every executing statement
-  registers an :class:`ActiveStatement` keyed by its query-log statement id,
-  so ``$SYSTEM.DM_ACTIVE_STATEMENTS`` and ``CANCEL <id>`` share the id
-  space operators already see in ``DM_QUERY_LOG``.  Finished statements
-  move into a bounded ring that backs ``$SYSTEM.DM_STATEMENT_RESOURCES``.
+  registers its :class:`~repro.obs.trace.StatementRecord` (the one record
+  a statement has) keyed by its query-log statement id, so
+  ``$SYSTEM.DM_ACTIVE_STATEMENTS`` and ``CANCEL <id>`` share the id space
+  operators already see in ``DM_QUERY_LOG``.  Retired statements are read
+  back from the tracer's query-log ring, which therefore also backs
+  ``$SYSTEM.DM_STATEMENT_RESOURCES``.
 * :class:`CancelToken` — cooperative cancellation.  ``CANCEL <id>`` (or
   :meth:`Connection.cancel`) sets the token; the executing statement
   observes it at its next progress checkpoint — a batch boundary in the
@@ -25,26 +27,22 @@ stop it".  Three cooperating pieces:
   behind ``$SYSTEM.DM_LOCK_WAITS``.
 
 Instrumented modules never hold a registry; like :mod:`repro.obs.trace`
-they call the module-level functions (:func:`checkpoint`, :func:`progress`,
-:func:`set_phase`, :func:`note_lock_wait`, ...), which resolve the active
-statement from a thread-local slot the provider populates around each
-statement.  With no active statement every call is a near-free no-op, so
-the engine and algorithm layers stay usable standalone.
+they call the module-level functions (:func:`checkpoint`, :func:`set_phase`,
+:func:`note_lock_wait`, ...), which write to the record made live on this
+thread by :meth:`Tracer.live <repro.obs.trace.Tracer.live>` (for a stream,
+while each batch is pulled).  With no live statement every call is a
+near-free no-op, so the engine and algorithm layers stay usable standalone.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import CancelledError
 
 _local = threading.local()
-
-#: Finished statements retained for ``$SYSTEM.DM_STATEMENT_RESOURCES``.
-DEFAULT_RESOURCE_RING = 256
 
 #: The execution phases a statement moves through, for DM_ACTIVE_STATEMENTS.
 PHASES = ("queued", "parse", "bind", "train", "predict", "scan")
@@ -78,129 +76,6 @@ class CancelToken:
                 f"({self.reason})")
 
 
-class ActiveStatement:
-    """One executing (or recently finished) statement and its accounting.
-
-    Progress counters are written by the statement's own thread (pool
-    results are collected there too); snapshot readers on other threads see
-    monotonically advancing plain attributes, which is all the live view
-    needs.
-    """
-
-    __slots__ = (
-        "statement_id", "text", "kind", "phase", "thread", "session",
-        "registry",
-        "started_at", "_started_perf", "_cpu_start", "token",
-        "rows_processed", "batches", "peak_batch_rows",
-        "partitions_done", "partitions_total",
-        "pool_tasks", "pool_tasks_in_flight", "pool_cpu_ms",
-        "cpu_ms", "lock_wait_ms", "lock_waits",
-        "cache_hits", "cache_misses",
-        "finished", "status", "duration_ms",
-    )
-
-    def __init__(self, statement_id: int, text: str,
-                 kind: str = "UNKNOWN", registry=None):
-        self.statement_id = statement_id
-        self.text = text
-        self.kind = kind
-        self.phase = "queued"
-        self.thread = threading.current_thread().name
-        # Network sessions run statements on their own session thread; the
-        # server stamps the session id into a thread-local, so statements
-        # registered here inherit their owning session automatically.
-        self.session = session_id()
-        self.registry = registry
-        self.started_at = time.time()
-        self._started_perf = time.perf_counter()
-        self._cpu_start = time.thread_time()
-        self.token = CancelToken(statement_id)
-        self.rows_processed = 0
-        self.batches = 0
-        self.peak_batch_rows = 0
-        self.partitions_done = 0
-        self.partitions_total = 0
-        self.pool_tasks = 0
-        self.pool_tasks_in_flight = 0
-        self.pool_cpu_ms = 0.0
-        self.cpu_ms = 0.0            # statement-thread CPU, stamped at finish
-        self.lock_wait_ms = 0.0
-        self.lock_waits = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.finished = False
-        self.status = "running"
-        self.duration_ms: Optional[float] = None
-
-    # -- progress (statement thread) ------------------------------------------
-
-    def advance(self, rows: int = 0) -> None:
-        """One batch boundary: record progress, then honor cancellation."""
-        if rows:
-            self.rows_processed += rows
-            if rows > self.peak_batch_rows:
-                self.peak_batch_rows = rows
-        self.batches += 1
-        self.token.check()
-
-    def elapsed_ms(self) -> float:
-        if self.duration_ms is not None:
-            return self.duration_ms
-        return (time.perf_counter() - self._started_perf) * 1000.0
-
-    def total_cpu_ms(self) -> float:
-        """Statement-thread CPU plus worker CPU shipped back from the pool."""
-        if self.finished:
-            return self.cpu_ms + self.pool_cpu_ms
-        return ((time.thread_time() - self._cpu_start) * 1000.0
-                + self.pool_cpu_ms
-                if threading.current_thread().name == self.thread
-                else self.pool_cpu_ms)
-
-    def resource_dict(self) -> Dict[str, Any]:
-        """JSON-ready resource summary (sink records and ``/active``)."""
-        return {
-            "statement_id": self.statement_id,
-            "phase": self.phase,
-            "status": self.status,
-            "cpu_ms": round(self.cpu_ms + self.pool_cpu_ms, 3),
-            "pool_cpu_ms": round(self.pool_cpu_ms, 3),
-            "lock_wait_ms": round(self.lock_wait_ms, 3),
-            "lock_waits": self.lock_waits,
-            "rows_processed": self.rows_processed,
-            "peak_batch_rows": self.peak_batch_rows,
-            "batches": self.batches,
-            "partitions_done": self.partitions_done,
-            "partitions_total": self.partitions_total,
-            "pool_tasks": self.pool_tasks,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
-    def active_dict(self) -> Dict[str, Any]:
-        """JSON-ready live view (the ``/active`` HTTP route)."""
-        return {
-            "statement_id": self.statement_id,
-            "statement": " ".join(self.text.split()),
-            "kind": self.kind,
-            "phase": self.phase,
-            "thread": self.thread,
-            "session": self.session,
-            "elapsed_ms": round(self.elapsed_ms(), 3),
-            "rows_processed": self.rows_processed,
-            "batches": self.batches,
-            "partitions_done": self.partitions_done,
-            "partitions_total": self.partitions_total,
-            "pool_tasks_in_flight": self.pool_tasks_in_flight,
-            "lock_wait_ms": round(self.lock_wait_ms, 3),
-            "cancel_requested": self.token.cancelled,
-        }
-
-    def __repr__(self) -> str:
-        return (f"ActiveStatement(#{self.statement_id}, {self.kind}, "
-                f"{self.phase}, {self.rows_processed} rows)")
-
-
 class _LockContention:
     """Aggregated waits for one (lock, mode) pair — a DM_LOCK_WAITS row."""
 
@@ -224,66 +99,38 @@ class WorkloadRegistry:
     module-level call short-circuits on the empty thread-local slot.
     """
 
-    def __init__(self, metrics=None, resource_ring: int = DEFAULT_RESOURCE_RING):
+    def __init__(self, metrics=None):
         self.enabled = True
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._active: Dict[int, ActiveStatement] = {}
-        self._finished: deque = deque(maxlen=max(1, int(resource_ring)))
+        self._active: Dict[int, object] = {}
         self._contention: Dict[tuple, _LockContention] = {}
 
     # -- statement lifecycle ---------------------------------------------------
 
-    def register(self, statement_id: int, text: str,
-                 kind: str = "UNKNOWN") -> Optional[ActiveStatement]:
-        """Admit one executing statement; None when the layer is off."""
-        if not self.enabled or not statement_id:
+    def register(self, record):
+        """Admit one dispatched statement record; None when the layer is off."""
+        if not self.enabled or not record.statement_id:
             return None
-        statement = ActiveStatement(statement_id, text, kind, registry=self)
+        record.registry = self
         with self._lock:
-            self._active[statement_id] = statement
-        return statement
-
-    def finish(self, statement: Optional[ActiveStatement],
-               status: str = "ok",
-               duration_ms: Optional[float] = None) -> None:
-        """Retire a statement into the resource ring, stamping CPU time."""
-        if statement is None:
-            return
-        statement.cpu_ms += (time.thread_time() - statement._cpu_start) * 1000.0
-        statement.status = status
-        statement.duration_ms = (duration_ms if duration_ms is not None
-                                 else statement.elapsed_ms())
-        statement.finished = True
-        with self._lock:
-            self._active.pop(statement.statement_id, None)
-            self._finished.append(statement)
+            self._active[record.statement_id] = record
+        return record
 
     def observe(self, record) -> None:
-        """Retire the statement behind a finished trace record.
+        """Retire a statement from the active set.
 
-        Called from the tracer's ``on_statement`` callback (still on the
-        statement's own thread, so the CPU delta is valid).  Stamps the
-        resource summary onto ``record.resources`` so the slow-query sink
-        and ``DM_STATEMENT_RESOURCES`` agree with the query log.
+        Called from the tracer's ``on_statement`` callback once the
+        statement's work has ended; the record itself moves on into the
+        tracer's ring, which the resources view reads.
         """
-        statement_id = getattr(record, "statement_id", 0)
-        if not statement_id:
-            return
-        with self._lock:
-            statement = self._active.get(statement_id)
-        if statement is None:
-            return
-        self.finish(statement, status=record.status or "ok",
-                    duration_ms=record.duration_ms)
-        try:
-            record.resources = statement.resource_dict()
-        except AttributeError:  # pragma: no cover - null records
-            pass
+        if record.registry is self:
+            with self._lock:
+                self._active.pop(record.statement_id, None)
 
     def cancel(self, statement_id: int,
                reason: str = "cancelled by operator",
-               session: Optional[int] = None) -> ActiveStatement:
+               session: Optional[int] = None):
         """Request cancellation of an active statement; raises on unknown id.
 
         ``session`` scopes the request: a network session may cancel only
@@ -314,18 +161,25 @@ class WorkloadRegistry:
 
     # -- snapshots -------------------------------------------------------------
 
-    def active(self) -> List[ActiveStatement]:
+    def active(self) -> list:
         """Live statements, oldest first."""
         with self._lock:
             return sorted(self._active.values(),
                           key=lambda s: s.statement_id)
 
-    def resource_records(self) -> List[ActiveStatement]:
-        """Active statements then the finished ring, id order within each."""
-        with self._lock:
-            live = sorted(self._active.values(), key=lambda s: s.statement_id)
-            done = list(self._finished)
-        return live + done
+    def resource_records(self, tracer) -> list:
+        """Live statements, then the retired ones in ``tracer``'s ring that
+        this registry admitted.
+
+        Live is read first: a record reaches the ring before it leaves the
+        active set, so one retiring in between is in both reads and is
+        listed once, as live.
+        """
+        live = self.active()
+        ids = {record.statement_id for record in live}
+        return live + [record for record in tracer.statements()
+                       if record.registry is self
+                       and record.statement_id not in ids]
 
     def contention(self) -> List[_LockContention]:
         """DM_LOCK_WAITS rows, sorted by (lock, mode)."""
@@ -356,20 +210,30 @@ class WorkloadRegistry:
 # Module-level instrumentation API (resolves the thread-active statement)
 # ---------------------------------------------------------------------------
 
-def activate(statement: Optional[ActiveStatement]) -> Optional[ActiveStatement]:
-    """Install the statement as this thread's active one; returns the prior."""
+def activate(statement):
+    """Install the statement as this thread's active one; returns the prior.
+
+    Starts the statement's thread-CPU clock; :func:`deactivate` stops it.
+    """
     previous = getattr(_local, "statement", None)
+    if statement is not None:
+        statement.cpu_started = time.thread_time()
     _local.statement = statement
     return previous
 
 
-def deactivate(previous: Optional[ActiveStatement]) -> None:
+def deactivate(previous) -> None:
     """Restore the statement returned by the matching :func:`activate`."""
+    statement = getattr(_local, "statement", None)
+    if statement is not None and statement.cpu_started is not None:
+        statement.cpu_ms += (time.thread_time()
+                             - statement.cpu_started) * 1000.0
+        statement.cpu_started = None
     _local.statement = previous
 
 
-def current() -> Optional[ActiveStatement]:
-    """This thread's active statement, or None."""
+def current():
+    """This thread's active statement record, or None."""
     return getattr(_local, "statement", None)
 
 

@@ -330,14 +330,14 @@ class TestEngineCheckpoint:
         """A cancelled token stops the very next scan batch."""
         from repro.lang.parser import parse_statement
         from repro.obs import workload as obs_workload
+        from repro.obs.trace import StatementRecord
 
         conn = repro.connect(batch_size=8)
         try:
             conn.execute("CREATE TABLE Big (Id LONG)")
             conn.execute("INSERT INTO Big VALUES " +
                          ", ".join(f"({i})" for i in range(64)))
-            statement = obs_workload.ActiveStatement(999, "manual scan",
-                                                     kind="SELECT")
+            statement = StatementRecord(999, "manual scan", kind="SELECT")
             statement.token.cancel("test")
             previous = obs_workload.activate(statement)
             try:

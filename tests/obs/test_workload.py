@@ -7,6 +7,7 @@ CPU/lock-wait reconciliation, the Chrome-trace exporter, the ``/active``
 HTTP route, and the telemetry-server lifecycle.
 """
 
+import gc
 import json
 import threading
 import time
@@ -19,7 +20,8 @@ import repro
 from repro.errors import CancelledError, Error
 from repro.obs import workload as obs_workload
 from repro.obs.export import chrome_trace_events
-from repro.obs.workload import ActiveStatement, CancelToken, WorkloadRegistry
+from repro.obs.trace import StatementRecord, Tracer
+from repro.obs.workload import CancelToken, WorkloadRegistry
 
 
 def _get(url):
@@ -57,40 +59,59 @@ class TestCancelToken:
 
 
 class TestWorkloadRegistry:
-    def test_register_finish_moves_to_the_ring(self):
+    def test_retired_record_moves_from_active_to_the_ring(self):
+        tracer = Tracer()
         registry = WorkloadRegistry()
-        statement = registry.register(1, "SELECT 1", kind="SELECT")
-        assert [s.statement_id for s in registry.active()] == [1]
-        registry.finish(statement, status="ok", duration_ms=5.0)
+        tracer.on_statement = registry.observe
+        record = registry.register(tracer.begin("SELECT 1", kind="SELECT"))
+        assert registry.active() == [record]
+        assert registry.resource_records(tracer) == [record]
+        assert record.status == "running"
+        tracer.retire(record)
         assert registry.active() == []
-        records = registry.resource_records()
-        assert len(records) == 1
-        assert records[0].status == "ok"
-        assert records[0].duration_ms == 5.0
-        assert records[0].finished
+        assert registry.resource_records(tracer) == [record]
+        assert record.status == "ok"
+        assert record.duration_ms >= 0.0
+
+    def test_resources_list_only_records_the_registry_admitted(self):
+        tracer = Tracer()
+        registry = WorkloadRegistry()
+        tracer.on_statement = registry.observe
+        admitted = registry.register(tracer.begin("SELECT 1"))
+        unadmitted = tracer.begin("SELECT 2")
+        for record in (admitted, unadmitted):
+            tracer.retire(record)
+        assert registry.resource_records(tracer) == [admitted]
+
+    def test_a_record_retiring_mid_read_is_listed_once_as_live(self):
+        tracer = Tracer()
+        registry = WorkloadRegistry()
+        record = registry.register(tracer.begin("SELECT 1"))
+        tracer.retire(record)  # in the ring, not yet observed
+        assert registry.resource_records(tracer) == [record]
 
     def test_disabled_registry_registers_nothing(self):
         registry = WorkloadRegistry()
         registry.enabled = False
-        assert registry.register(1, "SELECT 1") is None
+        assert registry.register(StatementRecord(1, "SELECT 1")) is None
         assert registry.active() == []
 
     def test_cancel_unknown_id_names_the_active_set(self):
         registry = WorkloadRegistry()
-        registry.register(3, "SELECT 1")
+        registry.register(StatementRecord(3, "SELECT 1"))
         with pytest.raises(Error, match="no active statement with id 9"):
             registry.cancel(9)
 
     def test_cancel_latches_the_statements_token(self):
         registry = WorkloadRegistry()
-        statement = registry.register(4, "SELECT 1")
+        statement = registry.register(StatementRecord(4, "SELECT 1"))
         registry.cancel(4)
         assert statement.token.cancelled
         with pytest.raises(CancelledError):
             statement.token.check()
 
     def test_advance_tracks_rows_batches_and_peak(self):
-        statement = ActiveStatement(1, "scan")
+        statement = StatementRecord(1, "scan")
         statement.advance(10)
         statement.advance(30)
         statement.advance(20)
@@ -99,7 +120,7 @@ class TestWorkloadRegistry:
         assert statement.peak_batch_rows == 30
 
     def test_advance_is_a_cancellation_checkpoint(self):
-        statement = ActiveStatement(1, "scan")
+        statement = StatementRecord(1, "scan")
         statement.token.cancel()
         with pytest.raises(CancelledError):
             statement.advance(10)
@@ -244,6 +265,198 @@ class TestActiveStatementsRowset:
         assert cancel_requested is False
 
 
+# -- streamed statements live until their stream ends -------------------------
+
+STREAM_ROWS = 3000
+STREAM_BATCH = 64
+STREAM_BATCHES = 47  # ceil(3000 / 64)
+STREAM_SQL = "SELECT a FROM S WHERE a >= 0"
+
+
+def _load_stream_tables(conn):
+    conn.execute("CREATE TABLE S (a LONG)")
+    conn.execute("INSERT INTO S VALUES " + ", ".join(
+        f"({i})" for i in range(STREAM_ROWS)))
+    conn.execute("CREATE TABLE Small (a LONG)")
+    conn.execute("INSERT INTO Small VALUES (1), (2), (3), (4), (5)")
+    return conn
+
+
+@pytest.fixture
+def streamed(conn):
+    return _load_stream_tables(conn)
+
+
+def _active_id(conn, text):
+    rows = conn.execute("SELECT STATEMENT_ID, STATEMENT FROM "
+                        "$SYSTEM.DM_ACTIVE_STATEMENTS").rows
+    ids = [statement_id for statement_id, statement in rows
+           if statement == text]
+    assert ids, f"{text!r} is not in DM_ACTIVE_STATEMENTS: {rows}"
+    return ids[0]
+
+
+def _logged(conn, statement_id):
+    """(STATUS, DURATION_MS, ROWS_SCANNED, ROWS_OUT, root counters) of one
+    statement, read back through the $SYSTEM views."""
+    rows = conn.execute(
+        "SELECT STATUS, DURATION_MS, ROWS_SCANNED, ROWS_OUT FROM "
+        f"$SYSTEM.DM_QUERY_LOG WHERE STATEMENT_ID = {statement_id}").rows
+    assert len(rows) == 1, rows
+    counters = conn.execute(
+        "SELECT COUNTERS FROM $SYSTEM.DM_TRACE_EVENTS WHERE "
+        f"STATEMENT_ID = {statement_id} AND DEPTH = 0").rows[0][0]
+    parsed = dict(pair.split("=") for pair in counters.split(", "))
+    return rows[0] + ({name: float(value)
+                       for name, value in parsed.items()},)
+
+
+def _rows_processed(conn, statement_id):
+    rows = conn.execute(
+        "SELECT ROWS_PROCESSED FROM $SYSTEM.DM_STATEMENT_RESOURCES "
+        f"WHERE STATEMENT_ID = {statement_id}").rows
+    assert len(rows) == 1, rows
+    return rows[0][0]
+
+
+class TestStreamLifetime:
+    def test_cancel_lands_between_batches(self, streamed):
+        batches = streamed.execute_stream(STREAM_SQL,
+                                          batch_size=STREAM_BATCH).batches()
+        assert len(next(batches)) == STREAM_BATCH
+        statement_id = _active_id(streamed, STREAM_SQL)
+        assert "cancel requested" in streamed.execute(
+            f"CANCEL {statement_id}")
+        with pytest.raises(CancelledError):
+            next(batches)
+        status = _logged(streamed, statement_id)[0]
+        assert status == "cancelled"
+        assert statement_id not in [
+            row[0] for row in streamed.execute(
+                "SELECT STATEMENT_ID FROM $SYSTEM.DM_ACTIVE_STATEMENTS").rows]
+
+    def test_fully_read_stream_is_accounted_to_its_last_row(self, streamed):
+        stream = streamed.execute_stream(STREAM_SQL, batch_size=STREAM_BATCH)
+        statement_id = _active_id(streamed, STREAM_SQL)
+        batches = stream.batches()
+        read = len(next(batches))
+        time.sleep(0.1)  # the consumer is slow; the statement is still live
+        read += sum(len(batch) for batch in batches)
+        assert read == STREAM_ROWS
+        status, duration_ms, scanned, out, counters = _logged(
+            streamed, statement_id)
+        assert status == "ok"
+        assert (scanned, out) == (STREAM_ROWS, STREAM_ROWS)
+        assert counters["batches"] == STREAM_BATCHES
+        assert duration_ms >= 100.0
+        assert _rows_processed(streamed, statement_id) == STREAM_ROWS
+
+    def test_dropped_unread_stream_leaves_the_active_set(self, streamed):
+        stream = streamed.execute_stream(STREAM_SQL, batch_size=STREAM_BATCH)
+        statement_id = _active_id(streamed, STREAM_SQL)
+        del stream
+        gc.collect()
+        active = [row[0] for row in streamed.execute(
+            "SELECT STATEMENT_ID FROM $SYSTEM.DM_ACTIVE_STATEMENTS").rows]
+        assert statement_id not in active
+        assert _logged(streamed, statement_id)[0] == "ok"
+
+    def test_statement_between_pulls_keeps_its_own_counters(self, streamed):
+        stream = streamed.execute_stream(STREAM_SQL, batch_size=STREAM_BATCH)
+        statement_id = _active_id(streamed, STREAM_SQL)
+        batches = stream.batches()
+        next(batches)
+        next(batches)
+        assert len(streamed.execute("SELECT a FROM Small")) == 5
+        between = streamed.provider.tracer.last().statement_id
+        assert sum(len(batch) for batch in batches) == \
+            STREAM_ROWS - 2 * STREAM_BATCH
+        _, _, scanned, out, counters = _logged(streamed, between)
+        assert (scanned, out) == (5, 5)
+        assert counters["batches"] == 1
+        assert _rows_processed(streamed, between) == 5
+        _, _, scanned, out, counters = _logged(streamed, statement_id)
+        assert (scanned, out) == (STREAM_ROWS, STREAM_ROWS)
+        assert counters["batches"] == STREAM_BATCHES
+        assert _rows_processed(streamed, statement_id) == STREAM_ROWS
+
+
+class TestOneRecord:
+    """DM_STATEMENT_RESOURCES, DM_QUERY_LOG, the sink and ``/queries`` all
+    read the same record, whatever way the statement ended."""
+
+    RESOURCE_KEYS = {
+        "statement_id", "phase", "status", "cpu_ms", "pool_cpu_ms",
+        "lock_wait_ms", "lock_waits", "rows_processed", "peak_batch_rows",
+        "batches", "partitions_done", "partitions_total", "pool_tasks",
+        "cache_hits", "cache_misses"}
+
+    def test_mixed_script_agrees_across_every_view(self, tmp_path):
+        from repro.client import connect as net_connect
+        from repro.server import DmxServer
+
+        conn = repro.connect(telemetry_path=str(tmp_path / "slow.jsonl"),
+                             slow_query_ms=0.0)
+        server = DmxServer(conn.provider, port=0)
+        http = conn.provider.serve_metrics(port=0)
+        try:
+            _load_stream_tables(conn)
+            conn.execute("CREATE MINING MODEL NB (a LONG KEY, b TEXT "
+                         "DISCRETE PREDICT) USING Repro_Naive_Bayes")
+            conn.execute("INSERT INTO NB (a, b) SELECT a, 'x' FROM Small")
+            with pytest.raises(Error):
+                conn.execute("SELECT nope FROM Small")
+            # A stream cancelled between batches.
+            cancelled = conn.execute_stream(STREAM_SQL,
+                                            batch_size=STREAM_BATCH)
+            batches = cancelled.batches()
+            next(batches)
+            conn.execute(f"CANCEL {_active_id(conn, STREAM_SQL)}")
+            with pytest.raises(CancelledError):
+                next(batches)
+            # A stream read to the end, with a wire session interleaved.
+            batches = conn.execute_stream(STREAM_SQL,
+                                          batch_size=STREAM_BATCH).batches()
+            next(batches)
+            with net_connect("127.0.0.1", server.port) as client:
+                assert len(client.execute("SELECT a FROM Small")) == 5
+                assert sum(len(batch) for batch in client.execute_stream(
+                    "SELECT a FROM S", batch_size=STREAM_BATCH)) > 0
+            assert sum(len(batch) for batch in batches) == \
+                STREAM_ROWS - STREAM_BATCH
+
+            resources = conn.execute(
+                "SELECT STATEMENT_ID, STATUS, DURATION_MS FROM "
+                "$SYSTEM.DM_STATEMENT_RESOURCES").rows
+            log = {row[0]: row[1:] for row in conn.execute(
+                "SELECT STATEMENT_ID, STATUS, DURATION_MS, KIND FROM "
+                "$SYSTEM.DM_QUERY_LOG").rows}
+            finished = {row[0]: row[1:] for row in resources
+                        if row[1] != "running"}
+            reader = [row[0] for row in resources if row[1] == "running"]
+            assert set(log) == set(finished) | set(reader)
+            for statement_id, (status, duration_ms) in finished.items():
+                assert log[statement_id][:2] == (status, duration_ms)
+            assert {"ok", "error", "cancelled"} <= \
+                {status for status, _, _ in log.values()}
+            assert "TRAIN" in {kind for _, _, kind in log.values()}
+
+            sink = conn.provider.slow_sink.records()
+            queries = json.loads(_get(http.url + "/queries?limit=500")[1])
+            for records in (sink, queries):
+                assert {r["statement_id"] for r in records} >= set(finished)
+                for record in records:
+                    assert set(record["resources"]) == self.RESOURCE_KEYS
+                    if record["statement_id"] in finished:
+                        status, duration_ms = finished[record["statement_id"]]
+                        assert record["status"] == status
+                        assert record["duration_ms"] == duration_ms
+        finally:
+            http.close()
+            server.close()
+            conn.close()
+
+
 # -- exports -------------------------------------------------------------------
 
 class TestChromeTraceExport:
@@ -293,12 +506,11 @@ class TestActiveRoute:
 
             def hold():
                 statement = conn.provider.workload.register(
-                    12345, "SELECT sleep", kind="SELECT")
+                    StatementRecord(12345, "SELECT sleep", kind="SELECT"))
                 statement.phase = "scan"
                 started.set()
                 release.wait(5.0)
-                conn.provider.workload.finish(statement, status="ok",
-                                              duration_ms=1.0)
+                conn.provider.workload.observe(statement)
 
             thread = threading.Thread(target=hold)
             thread.start()
